@@ -8,7 +8,8 @@ fault) on a shared 5-rank pool through the
 criteria of the multi-job scheduler end to end:
 
 * the manager-level ``events.jsonl`` parses, every record validates
-  against schema v4, and every event carries its ``job`` tag;
+  against the current schema (the ``job`` field arrived in v4), and
+  every event carries its ``job`` tag;
 * the lifecycle kinds are all present (``submitted`` / ``placed`` /
   ``completed``) plus the fault path (``quarantine`` / ``probe``);
 * ``manifest.json`` carries the pool census and the submitted-job table;
@@ -99,7 +100,7 @@ def main(argv: list[str] | None = None) -> int:
     if not plan.triggered:
         failures.append("the planned rank kill never fired")
 
-    # -- manager stream: schema v4, job tags, lifecycle + fault kinds ----
+    # -- manager stream: schema, job tags, lifecycle + fault kinds -------
     stream = out / "manager" / "events.jsonl"
     stream_records = list(read_stream(stream))  # parses AND validates
     events = [r for r in stream_records if r["type"] == "event"]

@@ -53,10 +53,10 @@ from repro.core.solver import ChannelConfig, ChannelDNS
 from repro.core.timestepper import SMR91, ChannelState
 
 #: current writer version and the lineage of versions this reader accepts.
-#: v1: bare ``savez`` without manifest/checksums (legacy); v2: manifest
-#: with per-array CRC32, scheme fingerprint and runtime (dt, forcing).
+#: v2: manifest with per-array CRC32, scheme fingerprint and runtime (dt,
+#: forcing).  The manifest-less v1 layout is no longer read.
 FORMAT_VERSION = 2
-FORMAT_HISTORY = (1, 2)
+FORMAT_HISTORY = (2,)
 
 #: grid/discretization keys that must match between a checkpoint and an
 #: explicitly supplied config.
@@ -179,25 +179,16 @@ def _read_npz(path: pathlib.Path, verify: bool = True) -> tuple[dict, dict[str, 
     try:
         with np.load(path, allow_pickle=False) as data:
             keys = set(data.files)
-            # the explicit key is authoritative when present (v1 layout, or
-            # a file whose version was deliberately rewritten)
+            if not keys & {"format_version", "manifest_json"}:
+                raise CheckpointCorruptError(f"{path.name}: no checkpoint header")
+            manifest = json.loads(str(data["manifest_json"])) if "manifest_json" in keys else {}
+            # the explicit key is authoritative when present (a legacy file,
+            # or one whose version was deliberately rewritten)
             if "format_version" in keys:
                 version = int(data["format_version"])
-            elif "manifest_json" in keys:
-                version = None  # decided by the manifest below
             else:
-                raise CheckpointCorruptError(f"{path.name}: no checkpoint header")
-            if "manifest_json" not in keys:
-                if version != 1:
-                    raise ValueError(
-                        f"unsupported checkpoint format {version}; "
-                        f"this build reads versions {FORMAT_HISTORY}"
-                    )
-                return _read_v1(data)
-            manifest = json.loads(str(data["manifest_json"]))
-            if version is None:
                 version = int(manifest.get("format_version", -1))
-            if version not in FORMAT_HISTORY or version == 1:
+            if version not in FORMAT_HISTORY:
                 raise ValueError(
                     f"unsupported checkpoint format {version}; "
                     f"this build reads versions {FORMAT_HISTORY}"
@@ -218,21 +209,6 @@ def _read_npz(path: pathlib.Path, verify: bool = True) -> tuple[dict, dict[str, 
         raise
     except Exception as exc:  # truncated/garbled container, missing keys, IO error
         raise CheckpointCorruptError(f"{path.name}: unreadable checkpoint ({exc})") from exc
-
-
-def _read_v1(data) -> tuple[dict, dict[str, np.ndarray]]:
-    """Adapt a legacy v1 file (no manifest, no checksums) to the v2 shape."""
-    manifest = {
-        "format_version": 1,
-        "format_history": [1],
-        "kind": "serial",
-        "config": json.loads(str(data["config_json"])),
-        "time": float(data["time"]),
-        "step_count": int(data["step_count"]),
-        "runtime": None,
-    }
-    arrays = {k: data[k].copy() for k in ("v", "omega_y", "u00", "w00")}
-    return manifest, arrays
 
 
 def verify_checkpoint(path: str | pathlib.Path) -> tuple[bool, str]:
@@ -898,9 +874,9 @@ def _assemble_block(
             _check_shard(shard, manifest, rank=r, a=a_old, b=b_old)
             for key, want in (("x_range", (ox0, ox1)), ("z_range", (oz0, oz1))):
                 got = shard.get(key)
-                if got is not None and tuple(got) != want:
+                if got is None or tuple(got) != want:
                     raise CheckpointCorruptError(
-                        f"shard records {key}={tuple(got)}, expected {want}"
+                        f"shard records {key}={got}, expected {list(want)}"
                     )
         except Exception as exc:
             raise CheckpointCorruptError(

@@ -114,6 +114,12 @@ class ChannelDNS:
         self.statistics = RunningStatistics(self.grid)
         self.state: ChannelState | None = None
         self.step_count = 0
+        #: telemetry counter groups {group: snapshot callable}; the
+        #: recorder keeps this dict, so groups added later are streamed
+        self.counter_sources = {
+            "transforms": self.backend.counters.snapshot,
+            "solve": self.stepper.solve_counters,
+        }
         self.recorder = None
         self.streaming = None
         self._streaming_every = 0
@@ -162,6 +168,7 @@ class ChannelDNS:
             stats = StreamingStatistics(self)
         self.streaming = stats
         self._streaming_every = max(1, int(every))
+        self.counter_sources["stats"] = stats.counters.snapshot
         return stats
 
     def step(self) -> None:

@@ -1,61 +1,29 @@
-"""Section timers and transform counters for the per-timestep breakdown.
+"""Section timers and the run counter registry.
 
 The benchmarks of Tables 9-10 report elapsed time split into
 ``Transpose`` / ``FFT`` / ``N-S time advance`` (plus Total).  Both the
 serial and the distributed drivers instrument themselves with a
 :class:`SectionTimers` so the same breakdown can be printed for any run.
-The paper used ``MPI_wtime``; we use :func:`time.perf_counter`.
-
-:class:`TransformCounters` is the cheap bookkeeping attached to the
-planned transform pipeline (:mod:`repro.fft.pipeline`): workspace bytes
-allocated, transforms executed and per-stage wall time.  The workspace
-counters are how the zero-allocation property of the hot path is
-asserted — after warm-up, repeated substeps must not grow them.
-
-:class:`OverlapCounters` is the communication/compute overlap
-bookkeeping of the pipelined transposes
-(:class:`repro.pencil.transpose.PipelinedTranspose`): bytes posted
-through nonblocking exchanges, bytes already delivered when the wait
-first checked (fully hidden communication), time blocked in waits and
-compute seconds executed while an exchange was in flight.  The matching
-``OVERLAP`` timer section is *nested* — it measures FFT time hidden
-inside the transpose section, not additional time.
-
-:class:`PrecisionCounters` is the mixed-precision wire bookkeeping of
-the global transposes: bytes staged at reduced precision versus the
-full-precision payload they carry, so the "≤ 55% of the float64 wire
-bytes" claim is a counter assertion.
-
-:class:`SolveCounters` is the same discipline for the batched banded
-solve engine (:mod:`repro.linalg.engine`): engine-owned workspace is
-counted once at construction and must stay frozen across steady-state
-solves, while the execution counters (solves, sweeps, columns) keep
-moving.
-
-:class:`RecoveryCounters` is the fault-tolerance bookkeeping shared by
-the checkpoint rotations (:mod:`repro.core.checkpoint`), the run
-supervisor (:mod:`repro.core.supervisor`) and the elastic job loop
-(:func:`repro.pencil.distributed.run_supervised_spmd`): snapshots
-saved/pruned, verification failures, watchdog trips, rollbacks,
-restarts, dt reductions — and, from the elastic layer, ``shrinks``
-(agreed survivor-set reductions after a rank death), ``grows``
-(re-expansions of a degraded run onto returned ranks) and
-``reshard_restores`` (snapshots reassembled onto a different process
-grid).  Together with the ``CHECKPOINT``/``RECOVERY``/``ELASTIC`` timer
-sections this is how a campaign's recovery history is surfaced.
-
-:class:`TelemetryCounters` is the same discipline for the structured
-run recorder (:mod:`repro.telemetry`): records and bytes emitted keep
-moving while the recorder-owned scratch (``workspace_allocs``) freezes
-after the first record — the recorder must not allocate on the hot
-path.  ``overhead_seconds`` accumulates the recorder's own wall time so
-its <1%-of-step budget is checkable from the stream itself.
-
-Every timer additionally accepts an optional ``tracer`` (a
+The paper used ``MPI_wtime``; we use :func:`time.perf_counter`.  Every
+timer additionally accepts an optional ``tracer`` (a
 :class:`repro.telemetry.trace.TraceWriter`): when set, each timed
-section is also emitted as a Chrome ``trace_event`` span, giving the
-per-rank Transpose/FFT/N-S-advance/solve nesting in Perfetto without
-touching any driver code.
+section is also emitted as a Chrome ``trace_event`` span.
+
+Run counters derive from :class:`Counters`.  Each class declares its
+fields once — name, reset value, one-line meaning — and inherits
+``reset``/``snapshot``/``report``/``count_workspace``.  A class that
+sets :attr:`Counters.group` is streamed: it lands in
+:data:`COUNTER_GROUPS`, from which :mod:`repro.telemetry.schema` builds
+the step-record groups and the doc-coverage test checks
+``docs/observability.md``.  Drivers expose their groups to the
+:class:`~repro.telemetry.RunRecorder` through a ``counter_sources``
+mapping ``{group: zero-argument callable returning the field dict}``.
+Increments stay plain attribute ``+=`` on the hot path.
+
+The workspace counters (``workspace_bytes``/``workspace_allocs``) of the
+transform pipeline, the solve engines and the recorder are how the
+zero-allocation property of the hot path is asserted: after warm-up,
+repeated substeps must not grow them.
 """
 
 from __future__ import annotations
@@ -63,6 +31,7 @@ from __future__ import annotations
 import time
 from collections import defaultdict
 from contextlib import contextmanager
+from typing import NamedTuple
 
 
 class SectionTimers:
@@ -139,136 +108,140 @@ class SectionTimers:
             self.calls[k] += v
 
 
-class TransformCounters:
-    """Allocation / execution / timing counters of a transform pipeline.
+class Field(NamedTuple):
+    """One declared counter: attribute name, reset value, meaning."""
 
-    ``workspace_bytes`` and ``workspace_allocs`` count only pipeline-owned
-    scratch (pad buffers, transpose staging); transform *outputs* are
-    caller-owned fresh arrays and are not workspace.  A warmed-up pipeline
-    holds both constant across calls — the zero-allocation invariant.
+    name: str
+    default: int | float
+    doc: str
+
+
+#: telemetry step-record group name -> the counter class streamed under it
+COUNTER_GROUPS: dict[str, type["Counters"]] = {}
+
+
+class Counters:
+    """Base of the run counter classes.
+
+    Subclasses declare :attr:`fields`; a subclass that also sets
+    :attr:`group` (and :attr:`group_doc`: the group's scope and when it
+    is absent) registers itself in :data:`COUNTER_GROUPS`.
     """
 
+    fields: tuple[Field, ...] = ()
+    group: str | None = None
+    group_doc: str = ""
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.names = tuple(f.name for f in cls.fields)
+        if "group" in cls.__dict__:
+            COUNTER_GROUPS[cls.group] = cls
+
     def __init__(self) -> None:
-        self.workspace_bytes = 0
-        self.workspace_allocs = 0
-        self.transforms = 0
-        self.fields_forward = 0
-        self.fields_backward = 0
-        self.stage_seconds: dict[str, float] = defaultdict(float)
-        self.stage_calls: dict[str, int] = defaultdict(int)
+        self.reset()
+
+    def reset(self) -> None:
+        for f in self.fields:
+            setattr(self, f.name, f.default)
+
+    def snapshot(self) -> dict:
+        """Point-in-time copy of every field (for before/after deltas)."""
+        return {n: getattr(self, n) for n in self.names}
+
+    @classmethod
+    def summed(cls, parts) -> dict:
+        """Field-wise sum over several instances, shaped like a snapshot."""
+        total = {f.name: f.default for f in cls.fields}
+        for part in parts:
+            for n in cls.names:
+                total[n] += getattr(part, n)
+        return total
+
+    def report(self) -> str:
+        """One ``name=value`` pair per field."""
+        return "  ".join(
+            f"{n}={v:.6g}" if isinstance(v, float) else f"{n}={v}"
+            for n, v in self.snapshot().items()
+        )
 
     def count_workspace(self, arr) -> None:
         """Record a newly allocated workspace array."""
         self.workspace_bytes += int(arr.nbytes)
         self.workspace_allocs += 1
 
-    @contextmanager
-    def stage(self, name: str):
-        """Time one pipeline stage (cumulative per stage name)."""
-        t0 = time.perf_counter()
-        try:
-            yield
-        finally:
-            self.stage_seconds[name] += time.perf_counter() - t0
-            self.stage_calls[name] += 1
 
-    def reset(self) -> None:
-        self.__init__()
+class TransformCounters(Counters):
+    """Allocation / execution counters of a transform pipeline.
 
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "workspace_bytes": self.workspace_bytes,
-            "workspace_allocs": self.workspace_allocs,
-            "transforms": self.transforms,
-            "fields_forward": self.fields_forward,
-            "fields_backward": self.fields_backward,
-            "stage_seconds": dict(self.stage_seconds),
-            "stage_calls": dict(self.stage_calls),
-        }
-
-    def report(self) -> str:
-        parts = [
-            f"workspace={self.workspace_bytes}B/{self.workspace_allocs} allocs",
-            f"transforms={self.transforms}",
-            f"fields={self.fields_forward}fwd/{self.fields_backward}bwd",
-        ]
-        parts += [f"{k}={v:.4f}s" for k, v in sorted(self.stage_seconds.items())]
-        return "  ".join(parts)
-
-
-class OverlapCounters:
-    """Communication/compute overlap accounting of the pipelined transposes.
-
-    ``bytes_posted`` counts off-rank payload posted through nonblocking
-    exchanges, ``bytes_completed`` the portion whose requests finished,
-    and ``bytes_overlapped`` the portion already delivered when the wait
-    first checked — communication fully hidden behind the FFT compute
-    that ran between post and wait.  ``wait_seconds`` is time blocked in
-    ``Request.wait`` (exposed comm), ``overlap_seconds`` compute executed
-    while an exchange was in flight (hidden comm window).  ``posts`` and
-    ``waits`` count the staged exchanges.
+    Transform *outputs* are caller-owned fresh arrays and are not
+    workspace; a warmed-up pipeline holds the workspace counters
+    constant across calls.
     """
 
-    def __init__(self) -> None:
-        self.posts = 0
-        self.waits = 0
-        self.bytes_posted = 0
-        self.bytes_completed = 0
-        self.bytes_overlapped = 0
-        self.wait_seconds = 0.0
-        self.overlap_seconds = 0.0
-
-    def hidden_fraction(self) -> float:
-        """Fraction of completed exchange bytes fully hidden behind compute."""
-        if not self.bytes_completed:
-            return 0.0
-        return self.bytes_overlapped / self.bytes_completed
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "posts": self.posts,
-            "waits": self.waits,
-            "bytes_posted": self.bytes_posted,
-            "bytes_completed": self.bytes_completed,
-            "bytes_overlapped": self.bytes_overlapped,
-            "wait_seconds": self.wait_seconds,
-            "overlap_seconds": self.overlap_seconds,
-        }
-
-    def report(self) -> str:
-        return (
-            f"posts={self.posts}  waits={self.waits}  "
-            f"bytes={self.bytes_posted} posted/{self.bytes_overlapped} overlapped "
-            f"({self.hidden_fraction():.0%} hidden)  "
-            f"wait={self.wait_seconds:.4f}s  overlap={self.overlap_seconds:.4f}s"
-        )
+    group = "transforms"
+    group_doc = "absent when the backend exposes no counters (e.g. the pencil pipeline)"
+    fields = (
+        Field("workspace_bytes", 0, "bytes of pipeline-owned scratch (pad buffers, staging)"),
+        Field("workspace_allocs", 0, "pipeline-owned scratch arrays allocated"),
+        Field("transforms", 0, "FFT stage executions (two per field)"),
+        Field("fields_forward", 0, "fields taken spectral -> physical"),
+        Field("fields_backward", 0, "fields taken physical -> spectral"),
+    )
 
 
-class PrecisionCounters:
+class OverlapCounters(Counters):
+    """Communication/compute overlap accounting of the pipelined transposes
+    (:class:`repro.pencil.transpose.PipelinedTranspose`).
+
+    The matching ``OVERLAP`` timer section is nested: it measures FFT
+    time hidden inside the transpose section, not additional time.
+    """
+
+    group = "overlap"
+    group_doc = (
+        "per-rank; absent when the backend exposes no overlap counters (serial runs) "
+        "and all-zero when no transpose runs pipelined"
+    )
+    fields = (
+        Field("posts", 0, "staged nonblocking exchanges posted"),
+        Field("waits", 0, "staged exchanges waited on"),
+        Field("bytes_posted", 0, "off-rank payload bytes posted"),
+        Field("bytes_completed", 0, "posted bytes whose requests finished"),
+        Field(
+            "bytes_overlapped", 0,
+            "bytes already delivered when the wait first checked (fully hidden)",
+        ),
+        Field("wait_seconds", 0.0, "time blocked in Request.wait (exposed communication)"),
+        Field(
+            "overlap_seconds", 0.0,
+            "compute run while an exchange was in flight (hidden window)",
+        ),
+    )
+
+
+class PrecisionCounters(Counters):
     """Mixed-precision wire accounting of the global transposes.
 
-    When a :class:`~repro.pencil.transpose.GlobalTranspose` runs in
-    ``wire="mixed"`` mode, float64/complex128 payloads are staged down to
+    Under ``wire="mixed"`` float64/complex128 payloads are staged down to
     float32/complex64 before the exchange and accumulated back at full
-    precision on assembly.  ``bytes_full`` counts what the full-precision
-    payload would have moved, ``bytes_wire`` what was actually staged —
-    their ratio is the counter-asserted wire saving (≤ 0.55 of the
-    float64 bytes for pure float payloads; the tiny excess over 0.5 in a
-    mixed stream comes from exchanges too narrow to down-cast).
-    ``casts`` counts exchanges that actually narrowed, ``exchanges`` all
-    staged exchanges.
+    precision; ``bytes_wire / bytes_full`` is the counter-asserted wire
+    saving (≤ 0.55 for pure float payloads; the excess over 0.5 comes
+    from exchanges too narrow to down-cast).
     """
 
-    def __init__(self) -> None:
-        self.exchanges = 0
-        self.casts = 0
-        self.bytes_wire = 0
-        self.bytes_full = 0
+    group = "precision"
+    group_doc = (
+        "bytes_wire equals bytes_full under wire='full' and is roughly halved under "
+        "wire='mixed'; per-rank; absent when the backend exposes no precision counters "
+        "(serial runs)"
+    )
+    fields = (
+        Field("exchanges", 0, "staged exchanges"),
+        Field("casts", 0, "exchanges that were narrowed to single precision"),
+        Field("bytes_wire", 0, "bytes actually staged for the wire"),
+        Field("bytes_full", 0, "bytes the full-precision payload would have moved"),
+    )
 
     def wire_fraction(self) -> float:
         """bytes_wire / bytes_full (1.0 before any exchange)."""
@@ -276,207 +249,87 @@ class PrecisionCounters:
             return 1.0
         return self.bytes_wire / self.bytes_full
 
-    def reset(self) -> None:
-        self.__init__()
 
-    def snapshot(self) -> dict:
-        return {
-            "exchanges": self.exchanges,
-            "casts": self.casts,
-            "bytes_wire": self.bytes_wire,
-            "bytes_full": self.bytes_full,
-        }
-
-    def report(self) -> str:
-        return (
-            f"exchanges={self.exchanges} ({self.casts} down-cast)  "
-            f"wire={self.bytes_wire}B of {self.bytes_full}B full "
-            f"({self.wire_fraction():.0%} on the wire)"
-        )
-
-
-class SolveCounters:
+class SolveCounters(Counters):
     """Workspace / execution counters of a batched banded solve engine.
 
-    ``workspace_bytes``/``workspace_allocs`` count only engine-owned
-    scratch (the pair/group right-hand-side panels); solve *outputs* are
-    caller-owned fresh arrays and are not workspace.  A built engine
-    holds both frozen across steady-state solves — the zero-allocation
-    invariant asserted by the tests.  ``sweeps`` counts blocked
-    forward+backward passes, ``columns`` the real RHS columns swept
-    (a complex right-hand side is two columns).
+    Solve *outputs* are caller-owned fresh arrays and are not workspace;
+    a built engine holds the workspace counters frozen across
+    steady-state solves.
     """
 
-    def __init__(self) -> None:
-        self.workspace_bytes = 0
-        self.workspace_allocs = 0
-        self.solves = 0
-        self.sweeps = 0
-        self.columns = 0
-
-    def count_workspace(self, arr) -> None:
-        """Record a newly allocated engine workspace array."""
-        self.workspace_bytes += int(arr.nbytes)
-        self.workspace_allocs += 1
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "workspace_bytes": self.workspace_bytes,
-            "workspace_allocs": self.workspace_allocs,
-            "solves": self.solves,
-            "sweeps": self.sweeps,
-            "columns": self.columns,
-        }
-
-    def report(self) -> str:
-        return (
-            f"workspace={self.workspace_bytes}B/{self.workspace_allocs} allocs  "
-            f"solves={self.solves}  sweeps={self.sweeps}  columns={self.columns}"
-        )
+    group = "solve"
+    group_doc = "summed over every built solve engine of the stepper"
+    fields = (
+        Field("workspace_bytes", 0, "bytes of engine-owned scratch (right-hand-side panels)"),
+        Field("workspace_allocs", 0, "engine-owned scratch arrays allocated"),
+        Field("solves", 0, "solve calls"),
+        Field("sweeps", 0, "blocked forward+backward passes"),
+        Field("columns", 0, "real right-hand-side columns swept (a complex one is two)"),
+    )
 
 
-class RecoveryCounters:
-    """Checkpoint / recovery bookkeeping of the fault-tolerant harness.
-
-    ``checkpoints_saved``/``checkpoints_pruned`` move with the rotation,
-    ``verify_failures`` counts snapshots rejected by checksum or manifest
-    verification, ``failures`` counts watchdog/collective trips the
-    supervisor caught, ``rollbacks`` successful restores, ``restarts``
-    job-level relaunches of an SPMD program, and ``dt_reductions`` the
-    graceful-degradation steps taken after instability.  The elastic
-    path adds ``shrinks`` (agreed survivor-set reductions after a rank
-    death), ``grows`` (re-expansions of a degraded run back onto a
-    larger grid once ranks return) and ``reshard_restores`` (snapshots
-    reassembled onto a decomposition different from the one that wrote
-    them).
+class RecoveryCounters(Counters):
+    """Checkpoint / recovery bookkeeping shared by the checkpoint
+    rotations (:mod:`repro.core.checkpoint`), the run supervisor
+    (:mod:`repro.core.supervisor`) and the elastic job loop
+    (:func:`repro.pencil.distributed.run_supervised_spmd`).
     """
 
-    def __init__(self) -> None:
-        self.checkpoints_saved = 0
-        self.checkpoints_pruned = 0
-        self.verify_failures = 0
-        self.failures = 0
-        self.rollbacks = 0
-        self.restarts = 0
-        self.dt_reductions = 0
-        self.shrinks = 0
-        self.grows = 0
-        self.reshard_restores = 0
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "checkpoints_saved": self.checkpoints_saved,
-            "checkpoints_pruned": self.checkpoints_pruned,
-            "verify_failures": self.verify_failures,
-            "failures": self.failures,
-            "rollbacks": self.rollbacks,
-            "restarts": self.restarts,
-            "dt_reductions": self.dt_reductions,
-            "shrinks": self.shrinks,
-            "grows": self.grows,
-            "reshard_restores": self.reshard_restores,
-        }
-
-    def report(self) -> str:
-        return (
-            f"checkpoints={self.checkpoints_saved} saved/{self.checkpoints_pruned} pruned  "
-            f"verify_failures={self.verify_failures}  failures={self.failures}  "
-            f"rollbacks={self.rollbacks}  restarts={self.restarts}  "
-            f"dt_reductions={self.dt_reductions}  shrinks={self.shrinks}  "
-            f"grows={self.grows}  reshard_restores={self.reshard_restores}"
-        )
+    group = "recovery"
+    group_doc = (
+        "owned by the supervisor, so it is not re-baselined when a rollback replaces "
+        "the driver; absent until recovery counters are wired in (supervised runs)"
+    )
+    fields = (
+        Field("checkpoints_saved", 0, "snapshots written by the rotation"),
+        Field("checkpoints_pruned", 0, "snapshots removed by the rotation"),
+        Field("verify_failures", 0, "snapshots rejected by checksum or manifest verification"),
+        Field("failures", 0, "watchdog/collective trips the supervisor caught"),
+        Field("rollbacks", 0, "successful restores"),
+        Field("restarts", 0, "job-level relaunches of an SPMD program"),
+        Field("dt_reductions", 0, "graceful-degradation dt cuts after instability"),
+        Field("shrinks", 0, "agreed survivor-set reductions after a rank death"),
+        Field("grows", 0, "re-expansions of a degraded run onto returned ranks"),
+        Field(
+            "reshard_restores", 0,
+            "snapshots reassembled onto a grid other than the one that wrote them",
+        ),
+    )
 
 
-class StatsCounters:
+class StatsCounters(Counters):
     """Bookkeeping of a streaming-statistics accumulator
-    (:class:`repro.serving.StreamingStatistics`).
+    (:class:`repro.serving.StreamingStatistics`)."""
 
-    ``samples`` counts states folded into the running sums, ``merges``
-    the collective partial-sum reductions performed (one ``allreduce``
-    per merge, regardless of how many profiles/spectra it carries),
-    ``publishes`` results pushed into a results store, and ``restores``
-    accumulator sidecars loaded back after a checkpoint restart or
-    reshard.  ``sample_seconds`` accumulates the accumulator's own wall
-    time — the numerator of the same <1%-of-step-time budget the
-    telemetry recorder enforces on itself, checkable from the ``stats``
-    telemetry group and asserted by ``scripts/stats_service_smoke.py``.
-    """
-
-    def __init__(self) -> None:
-        self.samples = 0
-        self.merges = 0
-        self.publishes = 0
-        self.restores = 0
-        self.sample_seconds = 0.0
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "samples": self.samples,
-            "merges": self.merges,
-            "publishes": self.publishes,
-            "restores": self.restores,
-            "sample_seconds": self.sample_seconds,
-        }
-
-    def report(self) -> str:
-        return (
-            f"samples={self.samples}  merges={self.merges}  "
-            f"publishes={self.publishes}  restores={self.restores}  "
-            f"sample_time={self.sample_seconds:.4f}s"
-        )
+    group = "stats"
+    group_doc = (
+        "sample_seconds is the numerator of the accumulator's <1%-of-step-time budget; "
+        "absent when no accumulator is attached (dns.attach_streaming)"
+    )
+    fields = (
+        Field("samples", 0, "states folded into the running sums"),
+        Field("merges", 0, "collective partial-sum reductions (one allreduce each)"),
+        Field("publishes", 0, "results pushed into a results store"),
+        Field("restores", 0, "accumulator sidecars loaded after a restart or reshard"),
+        Field("sample_seconds", 0.0, "the accumulator's own wall time"),
+    )
 
 
-class TelemetryCounters:
+class TelemetryCounters(Counters):
     """Emission / workspace counters of a :class:`repro.telemetry.RunRecorder`.
 
-    ``records``/``events``/``bytes_written``/``flushes`` move with the
-    stream; ``overhead_seconds`` accumulates the recorder's own wall
-    time (the numerator of the <1%-per-step overhead budget).
     ``workspace_allocs`` counts recorder-owned scratch entries (the
-    reused record dict, per-section delta slots, counter-delta slots)
-    and must freeze after the first record of a warmed-up run — the
-    same zero-allocation discipline :class:`TransformCounters` enforces
-    on the transform pipeline.
+    reused record dict, per-section and per-counter delta slots) and must
+    freeze after the first record of a warmed-up run.
+    ``overhead_seconds`` is the numerator of the <1%-per-step budget.
     """
 
-    def __init__(self) -> None:
-        self.records = 0
-        self.events = 0
-        self.bytes_written = 0
-        self.flushes = 0
-        self.overhead_seconds = 0.0
-        self.workspace_allocs = 0
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        """Point-in-time copy of every counter (for before/after deltas)."""
-        return {
-            "records": self.records,
-            "events": self.events,
-            "bytes_written": self.bytes_written,
-            "flushes": self.flushes,
-            "overhead_seconds": self.overhead_seconds,
-            "workspace_allocs": self.workspace_allocs,
-        }
-
-    def report(self) -> str:
-        return (
-            f"records={self.records}  events={self.events}  "
-            f"bytes={self.bytes_written}  flushes={self.flushes}  "
-            f"overhead={self.overhead_seconds:.4f}s  "
-            f"workspace_allocs={self.workspace_allocs}"
-        )
+    fields = (
+        Field("records", 0, "step records written"),
+        Field("events", 0, "event records written"),
+        Field("bytes_written", 0, "stream bytes written"),
+        Field("flushes", 0, "stream flushes"),
+        Field("overhead_seconds", 0.0, "the recorder's own wall time"),
+        Field("workspace_allocs", 0, "recorder-owned scratch entries allocated"),
+    )

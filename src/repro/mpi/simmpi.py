@@ -72,6 +72,8 @@ from typing import Any, Callable, Sequence
 
 import numpy as np
 
+from repro.instrument import Counters, Field
+
 #: base timeout in seconds: `recv` waits this long, the `run_spmd` join
 #: waits JOIN_TIMEOUT_FACTOR times it.  Override with REPRO_SIMMPI_TIMEOUT.
 DEFAULT_TIMEOUT = 30.0
@@ -353,16 +355,23 @@ def _corrupt_payload(payload: Any, rng: np.random.Generator) -> Any:
     return payload
 
 
-@dataclass
-class MessageStats:
+class MessageStats(Counters):
     """Traffic accounting, shared by all members of a communicator.
 
     A list/tuple payload counts one message per element (the chunks of an
     alltoall are separate wire messages); scalars and arrays count one.
     """
 
-    messages: int = 0
-    bytes: int = 0
+    group = "mpi"
+    group_doc = (
+        "summed over the distinct communicators of the rank (world, CommA, CommB); each "
+        "communicator's counters are shared by its members, so ranks on the same "
+        "sub-communicator report the same traffic; absent in serial runs"
+    )
+    fields = (
+        Field("messages", 0, "wire messages sent (one per alltoall chunk)"),
+        Field("bytes", 0, "array payload bytes sent (scalars count zero)"),
+    )
 
     def record(self, payload: Any) -> None:
         if isinstance(payload, (list, tuple)):

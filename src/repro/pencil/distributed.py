@@ -13,6 +13,7 @@ round-off); ``tests/pencil/test_distributed.py`` pins that.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.core.solver import ChannelConfig
 from repro.core.timestepper import ChannelState, IMEXStepper
 from repro.core.velocity import recover_uw
 from repro.instrument import SectionTimers
-from repro.mpi.simmpi import Communicator
+from repro.mpi.simmpi import Communicator, MessageStats
 from repro.pencil.parallel_fft import PencilTransforms
 from repro.pencil.transpose import TransposeMethod
 
@@ -107,6 +108,15 @@ class DistributedChannelDNS:
         )
         self.state: ChannelState | None = None
         self.step_count = 0
+        t = self.transforms
+        traffic = {id(st): st for st in (comm.stats, t.comm_a.stats, t.comm_b.stats)}
+        #: telemetry counter groups, as on the serial driver
+        self.counter_sources = {
+            "solve": self.stepper.solve_counters,
+            "mpi": partial(MessageStats.summed, tuple(traffic.values())),
+            "overlap": t.overlap_counters.snapshot,
+            "precision": t.precision_counters.snapshot,
+        }
         self.recorder = None
         self.streaming = None
         self._streaming_every = 0
@@ -168,6 +178,7 @@ class DistributedChannelDNS:
             stats = StreamingStatistics(self)
         self.streaming = stats
         self._streaming_every = max(1, int(every))
+        self.counter_sources["stats"] = stats.counters.snapshot
         return stats
 
     def step(self) -> None:

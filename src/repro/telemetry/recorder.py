@@ -5,8 +5,9 @@ shares — serial :class:`~repro.core.solver.ChannelDNS`, per-rank
 :class:`~repro.pencil.distributed.DistributedChannelDNS`, the
 :class:`~repro.core.supervisor.RunSupervisor` and the job-level elastic
 loop.  Attached to a driver it emits one ``step`` record per timestep
-(section-time deltas, transform/solve/recovery/overlap/precision counter deltas,
-dt, CFL, divergence, rank metadata) into an append-only JSON-lines stream, and
+(section-time deltas, the deltas of every counter group in the driver's
+``counter_sources``, dt, CFL, divergence, rank metadata) into an
+append-only JSON-lines stream, and
 optionally feeds a :class:`~repro.telemetry.trace.TraceWriter` so the
 same run opens in Perfetto.  A ``manifest.json`` (config fingerprint,
 git revision, package versions, machine info) is written beside the
@@ -108,12 +109,10 @@ class RunRecorder:
         self._closed = False
         self._dns = None
         self._timers = None
-        self._transforms = None
-        self._solve_fn = None
-        self._recovery = None
-        self._mpi_stats = None
-        self._overlap = None
-        self._precision = None
+        #: the driver's {group: snapshot callable} mapping (kept, not copied)
+        self._sources: dict = {}
+        #: groups owned outside the driver (the supervisor's recovery counters)
+        self._own_sources: dict = {}
         self._since_flush = 0
         self._wall_total = 0.0
         self._steps_recorded = 0
@@ -170,13 +169,8 @@ class RunRecorder:
         self._dns = dns
         dns.recorder = self
         self._timers = getattr(dns, "timers", None) or dns.stepper.timers
-        backend = getattr(dns, "backend", None) or getattr(dns, "transforms", None)
-        self._transforms = getattr(backend, "counters", None)
-        self._overlap = getattr(backend, "overlap_counters", None)
-        self._precision = getattr(backend, "precision_counters", None)
-        self._solve_fn = getattr(dns.stepper, "solve_counters", None)
+        self._sources = dns.counter_sources
         comm = getattr(dns, "comm", None)
-        self._mpi_stats = getattr(comm, "stats", None)
         grid = None
         if comm is not None:
             d = getattr(dns, "decomp", None)
@@ -197,9 +191,10 @@ class RunRecorder:
 
     def set_recovery_counters(self, counters) -> None:
         """Wire a :class:`~repro.instrument.RecoveryCounters` into the stream."""
-        self._recovery = counters
+        self._own_sources = {}
         if counters is not None:
-            self._baseline_counts("recovery", counters.snapshot())
+            self._own_sources[counters.group] = counters.snapshot
+            self._baseline_counts(counters.group, counters.snapshot())
 
     def _rebaseline(self) -> None:
         t = self._timers
@@ -212,31 +207,11 @@ class RunRecorder:
             for k, v in t.elapsed.items():
                 self._last_elapsed[k] = v
                 self._last_calls[k] = t.calls.get(k, 0)
-        if self._transforms is not None:
-            self._baseline_counts("transforms", self._counter_scalars(self._transforms.snapshot()))
-        if self._solve_fn is not None:
-            snap = self._solve_fn()
-            if snap is not None:
-                self._baseline_counts("solve", snap)
-        # recovery counters are NOT re-baselined: they outlive the driver
+        # only the driver's groups: recovery counters outlive the driver
         # (the supervisor owns them), and the failure/rollback increments
         # that triggered a re-attach must still show up as deltas
-        if self._mpi_stats is not None:
-            self._baseline_counts(
-                "mpi", {"messages": self._mpi_stats.messages, "bytes": self._mpi_stats.bytes}
-            )
-        if self._overlap is not None:
-            self._baseline_counts("overlap", self._overlap.snapshot())
-        if self._precision is not None:
-            self._baseline_counts("precision", self._precision.snapshot())
-        streaming = getattr(self._dns, "streaming", None)
-        if streaming is not None:
-            self._baseline_counts("stats", streaming.counters.snapshot())
-
-    @staticmethod
-    def _counter_scalars(snapshot: dict) -> dict:
-        """Keep only scalar counters (drop nested per-stage dicts)."""
-        return {k: v for k, v in snapshot.items() if not isinstance(v, dict)}
+        for group, source in self._sources.items():
+            self._baseline_counts(group, source())
 
     def _baseline_counts(self, group: str, snap: dict) -> None:
         last = self._last_counts.get(group)
@@ -284,29 +259,11 @@ class RunRecorder:
         rec["rank"] = self.rank
         rec["nranks"] = self.nranks
         rec["sections"] = self._section_deltas()
-        if self._transforms is not None:
-            rec["transforms"] = self._count_deltas(
-                "transforms", self._counter_scalars(self._transforms.snapshot())
-            )
-        if self._solve_fn is not None:
-            snap = self._solve_fn()
-            if snap is not None:
-                rec["solve"] = self._count_deltas("solve", snap)
-        if self._recovery is not None:
-            rec["recovery"] = self._count_deltas("recovery", self._recovery.snapshot())
-        if self._mpi_stats is not None:
-            rec["mpi"] = self._count_deltas(
-                "mpi", {"messages": self._mpi_stats.messages, "bytes": self._mpi_stats.bytes}
-            )
-        if self._overlap is not None:
-            rec["overlap"] = self._count_deltas("overlap", self._overlap.snapshot())
-        if self._precision is not None:
-            rec["precision"] = self._count_deltas("precision", self._precision.snapshot())
-        # late-bound on purpose: streaming statistics may be attached after
-        # telemetry (attach_streaming has no ordering contract with attach)
-        streaming = getattr(dns, "streaming", None)
-        if streaming is not None:
-            rec["stats"] = self._count_deltas("stats", streaming.counters.snapshot())
+        # the driver's mapping is read live: a group added after attach
+        # (attach_streaming's "stats") starts streaming from here on
+        for sources in (self._sources, self._own_sources):
+            for group, source in sources.items():
+                rec[group] = self._count_deltas(group, source())
         self._write(rec)
         self.counters.records += 1
         t_end = time.perf_counter()

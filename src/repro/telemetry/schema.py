@@ -8,11 +8,13 @@ homogeneous and appendable.
 
 The field-by-field contract lives in :data:`STEP_FIELDS`,
 :data:`EVENT_FIELDS` and :data:`SUMMARY_FIELDS` — each maps a field
-name to ``(required, description)`` and is rendered verbatim into
-``docs/observability.md``.  :func:`validate_record` enforces it;
-:func:`read_stream` parses a file back into dicts.  Bump
-:data:`SCHEMA_VERSION` whenever a field changes meaning or a required
-field is added.
+name to ``(required, description)`` and is rendered into
+``docs/observability.md``.  The optional counter groups of a step
+record are not listed here: they come from the counter registry
+(:data:`repro.instrument.COUNTER_GROUPS`), one entry per declared group.
+:func:`validate_record` enforces the contract; :func:`read_stream`
+parses a file back into dicts.  Bump :data:`SCHEMA_VERSION` whenever a
+field changes meaning or a required field is added.
 """
 
 from __future__ import annotations
@@ -21,6 +23,9 @@ import json
 import pathlib
 from typing import Iterator
 
+from repro.instrument import COUNTER_GROUPS
+from repro.mpi.simmpi import MessageStats  # noqa: F401  (declares the "mpi" group)
+
 #: version stamped into every record and the manifest.
 #: v4 added the optional ``job`` event field (multi-job scheduler: a
 #: manager-level ``events.jsonl`` interleaves events of several jobs)
@@ -28,7 +33,11 @@ from typing import Iterator
 #: v5 added the optional ``stats`` step group (streaming-statistics
 #: accumulator counters, :mod:`repro.serving`) and the ``stats`` entry
 #: in the section-timer enumeration.
-SCHEMA_VERSION = 5
+#: v6 changed ``mpi`` from the world communicator's traffic to the sum
+#: over the world communicator and the pencil sub-communicators.
+#: Later versions only added optional groups and event kinds or changed
+#: what a group counts, so every version from 1 up still validates.
+SCHEMA_VERSION = 6
 
 #: record types a stream may contain
 RECORD_TYPES = ("step", "event", "summary")
@@ -59,51 +68,10 @@ STEP_FIELDS: dict[str, tuple[bool, str]] = {
         "over the SectionTimers names (transpose, fft, ns_advance, nonlinear_products, "
         "solve [nested in ns_advance], reorder, checkpoint, recovery, elastic, stats)",
     ),
-    "transforms": (
-        False,
-        "TransformCounters deltas of the transform pipeline (transforms, fields_forward, "
-        "fields_backward, workspace_bytes, workspace_allocs); absent when the backend "
-        "exposes no counters (e.g. the pencil pipeline)",
-    ),
-    "solve": (
-        False,
-        "aggregated SolveCounters deltas over every built solve engine (solves, sweeps, "
-        "columns, workspace_bytes, workspace_allocs); absent when the stepper exposes none",
-    ),
-    "recovery": (
-        False,
-        "RecoveryCounters deltas (checkpoints_saved/pruned, verify_failures, failures, "
-        "rollbacks, restarts, dt_reductions, shrinks, grows, reshard_restores); absent "
-        "until recovery counters are wired in (supervised runs)",
-    ),
-    "mpi": (
-        False,
-        "SimMPI MessageStats deltas {messages, bytes}; the stats object is shared by the "
-        "communicator context, so the numbers are world totals (identical on every rank); "
-        "absent in serial runs",
-    ),
-    "overlap": (
-        False,
-        "OverlapCounters deltas of the pipelined transposes (posts, waits, bytes_posted, "
-        "bytes_completed, bytes_overlapped, wait_seconds, overlap_seconds); per-rank, not "
-        "world totals; absent when the backend exposes no overlap counters (serial runs, "
-        "P3DFFT baseline) and all-zero when no transpose runs pipelined",
-    ),
-    "precision": (
-        False,
-        "PrecisionCounters deltas of the transpose wire format (exchanges, casts, "
-        "bytes_wire, bytes_full); bytes_full is what float64 payloads would have moved, "
-        "bytes_wire what was actually staged — equal under wire='full', roughly halved "
-        "under wire='mixed'; per-rank; absent when the backend exposes no precision "
-        "counters (serial runs, P3DFFT baseline)",
-    ),
-    "stats": (
-        False,
-        "StatsCounters deltas of the streaming-statistics accumulator (samples, merges, "
-        "publishes, restores, sample_seconds); sample_seconds is the accumulator's "
-        "self-measured wall time, the numerator of its <1%-of-step-time budget; absent "
-        "when no accumulator is attached (dns.attach_streaming)",
-    ),
+    **{
+        group: (False, f"{cls.__name__} deltas ({', '.join(cls.names)}); {cls.group_doc}")
+        for group, cls in COUNTER_GROUPS.items()
+    },
 }
 
 #: ``type: "event"`` — recovery / lifecycle events, one per occurrence
@@ -167,8 +135,9 @@ def validate_record(rec: dict) -> None:
     unknown = set(rec) - set(fields)
     if unknown:
         raise ValueError(f"{rtype} record has undocumented fields {sorted(unknown)}")
-    if rec["schema"] != SCHEMA_VERSION:
-        raise ValueError(f"schema version {rec['schema']} != {SCHEMA_VERSION}")
+    schema = rec["schema"]
+    if not isinstance(schema, int) or not 1 <= schema <= SCHEMA_VERSION:
+        raise ValueError(f"schema version {schema!r} not in 1..{SCHEMA_VERSION}")
     if rtype == "step":
         sections = rec["sections"]
         if not isinstance(sections, dict):

@@ -42,6 +42,7 @@ import pathlib
 import threading
 import time
 
+from repro.instrument import Counters, Field
 from repro.telemetry.manifest import _machine
 
 #: format version of the wisdom file; entries from other versions are stale
@@ -76,74 +77,48 @@ def _jsonable(p):
     return str(p)
 
 
-class MeasureStats:
+class MeasureStats(Counters):
     """Process-wide census of timing runs the self-tuning sites executed.
 
     Incremented by the sites themselves (wisdom on or off), so a warm
     start's "zero MEASURE timing runs" claim is a counter assertion, not
-    an inference: ``fft_candidates_timed`` moves per timed candidate run
-    in :meth:`~repro.fft.plans.FFTPlan._plan`, ``transpose_methods_timed``
-    per method timed in :meth:`~repro.pencil.transpose.GlobalTranspose.plan`,
-    ``engine_blocks_timed`` per candidate panel height timed in
-    :func:`~repro.linalg.engine.measure_block`.
+    an inference.
     """
 
-    def __init__(self) -> None:
-        self.fft_candidates_timed = 0
-        self.transpose_methods_timed = 0
-        self.engine_blocks_timed = 0
+    fields = (
+        Field(
+            "fft_candidates_timed", 0,
+            "timed candidate runs in repro.fft.plans.FFTPlan._plan",
+        ),
+        Field(
+            "transpose_methods_timed", 0,
+            "methods timed in repro.pencil.transpose.GlobalTranspose.plan",
+        ),
+        Field(
+            "engine_blocks_timed", 0,
+            "candidate panel heights timed in repro.linalg.engine.measure_block",
+        ),
+    )
 
     def total(self) -> int:
-        return (
-            self.fft_candidates_timed
-            + self.transpose_methods_timed
-            + self.engine_blocks_timed
-        )
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        return {
-            "fft_candidates_timed": self.fft_candidates_timed,
-            "transpose_methods_timed": self.transpose_methods_timed,
-            "engine_blocks_timed": self.engine_blocks_timed,
-        }
+        return sum(self.snapshot().values())
 
 
 #: the process-wide measurement census
 MEASURE_STATS = MeasureStats()
 
 
-class WisdomCounters:
+class WisdomCounters(Counters):
     """Hit/miss/robustness accounting of one store (manifest provenance)."""
 
-    def __init__(self) -> None:
-        self.hits = 0
-        self.misses = 0
-        self.stale = 0  # fingerprint or schema mismatch, entry ignored
-        self.corrupt = 0  # unreadable file or entry, ignored
-        self.writes = 0
-        self.readonly_drops = 0  # record() calls swallowed by readonly mode
-
-    def reset(self) -> None:
-        self.__init__()
-
-    def snapshot(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stale": self.stale,
-            "corrupt": self.corrupt,
-            "writes": self.writes,
-            "readonly_drops": self.readonly_drops,
-        }
-
-    def report(self) -> str:
-        return (
-            f"hits={self.hits}  misses={self.misses}  stale={self.stale}  "
-            f"corrupt={self.corrupt}  writes={self.writes}"
-        )
+    fields = (
+        Field("hits", 0, "lookups answered from the store"),
+        Field("misses", 0, "lookups with no usable entry"),
+        Field("stale", 0, "entries ignored on a fingerprint or schema mismatch"),
+        Field("corrupt", 0, "unreadable files or entries ignored"),
+        Field("writes", 0, "decisions written to the store"),
+        Field("readonly_drops", 0, "record() calls swallowed by readonly mode"),
+    )
 
 
 class WisdomStore:

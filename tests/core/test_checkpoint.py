@@ -118,6 +118,14 @@ class TestRoundTrip:
         np.savez_compressed(ckpt_path, **data)
         with pytest.raises(ValueError, match="format"):
             load_checkpoint(ckpt_path)
+        # the manifest-less v1 layout is no longer read
+        s = dns.state
+        np.savez_compressed(
+            ckpt_path, format_version=1, config_json="{}", time=0.0, step_count=0,
+            v=s.v, omega_y=s.omega_y, u00=s.u00, w00=s.w00,
+        )
+        with pytest.raises(ValueError, match="format 1"):
+            load_checkpoint(ckpt_path)
 
 
 class TestSuffixHandling:

@@ -70,7 +70,8 @@ class TestConcurrentPlacement:
         mgr.submit(JobSpec("beta", CFG_B, n_steps=4, ranks=2))
         mgr.run(timeout=300.0)
 
-        # read_stream validates every record against schema v4
+        # read_stream validates every record against the current schema
+        # (the job field it checks below arrived in v4)
         events = _events(tmp_path)
         by_kind = {}
         for e in events:

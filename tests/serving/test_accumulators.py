@@ -157,12 +157,13 @@ class TestSerialSidecar:
 
 
 class TestDistributedIdentity:
-    def test_distributed_matches_serial_to_reduction_tolerance(self):
+    @pytest.mark.parametrize("pa,pb", [(2, 2), (4, 1)])
+    def test_distributed_matches_serial_to_reduction_tolerance(self, pa, pb):
         _, ref_stream = _serial_reference(4)
         ref = ref_stream.result()
 
         def prog(comm):
-            dns = DistributedChannelDNS(comm, CFG, pa=2, pb=2)
+            dns = DistributedChannelDNS(comm, CFG, pa=pa, pb=pb)
             dns.initialize()
             stream = dns.attach_streaming(every=1)
             dns.run(4)

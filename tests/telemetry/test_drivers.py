@@ -30,7 +30,7 @@ def test_distributed_per_rank_streams(tmp_path):
         steps = [r for r in recs if r["type"] == "step"]
         assert [r["step"] for r in steps] == [1, 2, 3]
         assert steps[0]["rank"] == rank and steps[0]["nranks"] == 4
-        # world-shared message totals and the pencil sections are present
+        # communicator traffic and the pencil sections are present
         assert steps[0]["mpi"]["messages"] > 0
         assert steps[0]["sections"]["transpose"]["calls"] > 0
         assert recs[-1]["type"] == "summary"
@@ -42,6 +42,38 @@ def test_distributed_per_rank_streams(tmp_path):
     )
     spans = [e for e in json.loads(merged.read_text())["traceEvents"] if e["ph"] == "X"]
     assert {e["pid"] for e in spans} == {0, 1, 2, 3}
+
+
+def test_mpi_group_counts_pencil_subcommunicator_traffic(tmp_path):
+    """On a 1x2 grid the transposes run on CommB; the stream's mpi group
+    must carry that traffic, not only the world communicator's."""
+    tel = tmp_path / "tel"
+
+    def prog(comm):
+        dns = DistributedChannelDNS(comm, CFG, pa=1, pb=2, telemetry=tel)
+        dns.initialize()
+        comm_b = dns.transforms.comm_b.stats
+        deltas = []
+        for _ in range(4):
+            # barriers keep the other rank's traffic out of each window
+            comm.barrier()
+            b0 = comm_b.bytes
+            dns.step()
+            comm.barrier()
+            deltas.append(comm_b.bytes - b0)
+        comm.barrier()
+        dns.finalize_telemetry()
+        return deltas
+
+    deltas = run_spmd(2, prog)[0]
+    for rank in range(2):
+        steps = [
+            r for r in read_stream(tel / f"telemetry-rank{rank:03d}.jsonl") if r["type"] == "step"
+        ]
+        # the first record also holds setup traffic (plans, initialize)
+        streamed = [r["mpi"]["bytes"] for r in steps[1:]]
+        assert streamed == deltas[1:], rank
+        assert all(b > 0 for b in streamed)
 
 
 def test_supervisor_mirrors_recovery_log(tmp_path):

@@ -63,6 +63,20 @@ def test_workspace_allocs_freeze_after_first_record(tmp_path):
     dns.finalize_telemetry()
 
 
+def test_stats_group_binds_late(tmp_path):
+    """attach_streaming may run after telemetry is attached; the stats
+    group starts streaming from the next record on."""
+    dns = ChannelDNS(CFG, telemetry=tmp_path / "tel")
+    dns.initialize()
+    dns.run(1)
+    dns.attach_streaming(every=1)
+    dns.run(2)
+    dns.finalize_telemetry()
+    steps = [r for r in read_stream(tmp_path / "tel" / "telemetry.jsonl") if r["type"] == "step"]
+    assert "stats" not in steps[0]
+    assert [r["stats"]["samples"] for r in steps[1:]] == [1, 1]
+
+
 def test_overhead_is_tracked_and_in_summary(tmp_path):
     dns, tel = _run(tmp_path, nsteps=6)
     rec = dns.recorder

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.instrument import COUNTER_GROUPS
 from repro.telemetry.schema import (
     EVENT_FIELDS,
     SCHEMA_VERSION,
@@ -88,9 +89,18 @@ def test_undocumented_field_rejected():
 
 def test_wrong_schema_version_rejected():
     rec = _minimal_step()
-    rec["schema"] = SCHEMA_VERSION + 1
-    with pytest.raises(ValueError, match="schema version"):
-        validate_record(rec)
+    for bad in (SCHEMA_VERSION + 1, 0, "6"):
+        rec["schema"] = bad
+        with pytest.raises(ValueError, match="schema version"):
+            validate_record(rec)
+    # older streams stay readable: a v1 step record predates the overlap,
+    # precision and stats groups
+    v1 = _minimal_step()
+    v1["schema"] = 1
+    v1["transforms"] = {"transforms": 96, "fields_forward": 24, "fields_backward": 30}
+    v1["solve"] = {"solves": 12, "sweeps": 12, "columns": 384}
+    v1["mpi"] = {"messages": 2, "bytes": 0}
+    validate_record(v1)
 
 
 def test_bad_section_cell_rejected():
@@ -139,7 +149,8 @@ def test_every_documented_field_has_description():
 
 
 def test_operator_guide_documents_every_field():
-    """docs/observability.md must cover every emitted field by name."""
+    """docs/observability.md must cover every emitted field by name, and
+    every field of every registered counter group in its group table."""
     import pathlib
 
     doc = (
@@ -148,3 +159,9 @@ def test_operator_guide_documents_every_field():
     for fields in (STEP_FIELDS, EVENT_FIELDS, SUMMARY_FIELDS):
         for name in fields:
             assert f"`{name}`" in doc, f"docs/observability.md missing field {name!r}"
+    assert COUNTER_GROUPS
+    for group, cls in COUNTER_GROUPS.items():
+        assert group in STEP_FIELDS
+        for name in cls.names:
+            row = f"| `{group}` | `{name}` |"
+            assert row in doc, f"docs/observability.md has no row {row!r}"
