@@ -1,11 +1,10 @@
 #!/usr/bin/env python
 """Cold-vs-warm wisdom smoke: the second run must not re-time anything.
 
-Runs the three self-tuning sites against one wisdom store — the
+Runs the two self-tuning sites against one wisdom store — the
 MEASURE-mode FFT planner (the non-contiguous-axis 1-D stages a 32^3
-pencil run plans), the transpose method selection of a 2x2 pencil grid,
-and the solve-engine panel-height selection — and records every decision
-plus the planner wall time into a state file.
+pencil run plans) and the solve-engine panel-height selection — and
+records every decision plus the planner wall time into a state file.
 
     python scripts/wisdom_smoke.py --wisdom w.json --state s.json --phase cold
     python scripts/wisdom_smoke.py --wisdom w.json --state s.json --phase warm
@@ -33,12 +32,9 @@ import numpy as np
 from repro.fft.plans import Planner, PlanFlags
 from repro.linalg.custom import FoldedLU
 from repro.linalg.structure import BandedSystemSpec, FoldedBanded
-from repro.mpi.simmpi import run_spmd
-from repro.pencil.parallel_fft import PencilTransforms
 from repro.telemetry.baseline import WISDOM_PLAN_SET
 from repro.tuning import MEASURE_STATS, WisdomStore
 
-NX, NY, NZ = 32, 16, 32
 MIN_WARM_SPEEDUP = 5.0
 
 
@@ -48,19 +44,6 @@ def _plan_ffts(store: WisdomStore) -> tuple[list[str], float]:
     planner = Planner(flags=PlanFlags.MEASURE, wisdom=store)
     plans = [planner.plan(k, s, a, nout=n) for k, s, a, n in WISDOM_PLAN_SET]
     return [p.strategy for p in plans], time.perf_counter() - t0
-
-
-def _plan_transpose(wisdom_path: pathlib.Path) -> dict[str, str]:
-    """Method choice of the 2x2 pencil transposes (store opened per rank)."""
-
-    def prog(comm):
-        store = WisdomStore(wisdom_path)
-        cart = comm.cart_create((2, 2))
-        tr = PencilTransforms(cart, NX, NY, NZ, dealias=False)
-        choice = tr.plan(wisdom=store)
-        return {k: v.value for k, v in choice.items()}
-
-    return run_spmd(4, prog)[0]
 
 
 def _plan_block(store: WisdomStore) -> int:
@@ -80,26 +63,23 @@ def main(argv=None) -> int:
     ap.add_argument("--phase", required=True, choices=("cold", "warm"))
     args = ap.parse_args(argv)
 
-    wisdom_path = pathlib.Path(args.wisdom)
     state_path = pathlib.Path(args.state)
-    store = WisdomStore(wisdom_path)
+    store = WisdomStore(args.wisdom)
 
     MEASURE_STATS.reset()
     strategies, t_plan = _plan_ffts(store)
-    transpose = _plan_transpose(wisdom_path)
     block = _plan_block(store)
     stats = MEASURE_STATS.snapshot()
 
-    print(f"[{args.phase}] fft strategies {strategies}  transpose {transpose}  "
-          f"block {block}  planner {t_plan * 1e3:.2f} ms")
+    print(f"[{args.phase}] fft strategies {strategies}  block {block}  "
+          f"planner {t_plan * 1e3:.2f} ms")
     print(f"[{args.phase}] timing runs: {stats}")
 
     if args.phase == "cold":
         for name, count in stats.items():
             assert count > 0, f"cold phase never measured {name}"
         state_path.write_text(json.dumps({
-            "strategies": strategies, "transpose": transpose,
-            "block": block, "t_plan": t_plan,
+            "strategies": strategies, "block": block, "t_plan": t_plan,
         }))
         print(f"cold OK: {MEASURE_STATS.total()} timing runs, "
               f"{len(store)} wisdom entries recorded")
@@ -110,7 +90,6 @@ def main(argv=None) -> int:
         f"warm start re-timed: {stats} (expected zero MEASURE timing runs)"
     )
     assert strategies == cold["strategies"], (strategies, cold["strategies"])
-    assert transpose == cold["transpose"], (transpose, cold["transpose"])
     assert block == cold["block"], (block, cold["block"])
     speedup = cold["t_plan"] / max(t_plan, 1e-9)
     print(f"warm planner speedup: {speedup:.1f}x (floor {MIN_WARM_SPEEDUP:.0f}x)")

@@ -360,6 +360,8 @@ class MessageStats(Counters):
 
     A list/tuple payload counts one message per element (the chunks of an
     alltoall are separate wire messages); scalars and arrays count one.
+    The member ranks are threads recording concurrently, so each update
+    holds a per-instance lock (an unguarded ``+=`` loses increments).
     """
 
     group = "mpi"
@@ -373,12 +375,16 @@ class MessageStats(Counters):
         Field("bytes", 0, "array payload bytes sent (scalars count zero)"),
     )
 
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        super().__init__()
+
     def record(self, payload: Any) -> None:
-        if isinstance(payload, (list, tuple)):
-            self.messages += len(payload)
-        else:
-            self.messages += 1
-        self.bytes += _payload_bytes(payload)
+        messages = len(payload) if isinstance(payload, (list, tuple)) else 1
+        nbytes = _payload_bytes(payload)
+        with self._lock:
+            self.messages += messages
+            self.bytes += nbytes
 
 
 def _payload_bytes(payload: Any) -> int:

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.fft.fourier import quadrature_points
 from repro.mpi.topology import factor_pairs
 
 
@@ -53,6 +54,19 @@ def choose_grid(
             f"mx={mx}, mz={mz}, ny={ny}, nzq={nzq}"
         )
     return min(valid, key=lambda g: (abs(g[0] - g[1]), -g[1]))
+
+
+def max_slab_ranks(nx: int, nz: int, dealias: bool = True) -> int:
+    """Rank ceiling of a slab (planar) decomposition of an ``nx x nz`` grid.
+
+    A slab code splits one axis over every rank — x modes in spectral
+    space, z points in physical space — so it cannot use more than
+    ``min(nx/2, nzq)`` ranks.  On the paper's 10240 x 7680 production
+    grid that is 5,120 ranks, against the 524,288 cores the pencil
+    decomposition runs on: the §2.2 reason the paper uses pencils.
+    """
+    nzq = quadrature_points(nz) if dealias else nz
+    return min(nx // 2, nzq)
 
 
 def block_range(n: int, p: int, i: int) -> tuple[int, int]:

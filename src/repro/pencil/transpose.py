@@ -8,40 +8,32 @@ becomes distributed and vice versa.  Concretely, each rank
 2. exchanges chunks all-to-all within the sub-communicator,
 3. concatenates the received chunks along the axis that becomes local.
 
-Like FFTW 3.3's transpose planner, multiple implementations are
-available and a measuring planner picks whichever is fastest on this
-machine for this shape ("multiple implementations of the global
-transposes are tested ... the implementation with the best performance
-on simple tests is selected", §4.3):
+Two implementations are available:
 
-* ``ALLTOALL`` — one blocking collective exchange,
-* ``PAIRWISE`` — a pairwise MPI_sendrecv loop (XOR schedule when P is a
-  power of two, shifted ring otherwise),
+* ``ALLTOALL`` — one blocking collective exchange (the default, and the
+  method production runs use),
 * ``PIPELINED`` — a staged :class:`PipelinedTranspose`: the third axis
   (local on both sides of the transpose) is cut into slabs, each slab's
   exchange is posted nonblocking (``ialltoallv``) and the wait for slab
   *k* overlaps the post — and, through the ``pre``/``post`` compute
   hooks, the FFT work — of the neighbouring slabs.
 
+FFTW 3.3 keeps several transpose implementations and times them at plan
+time (§4.3).  On the simulated substrate a pairwise ``sendrecv`` loop
+timed within 10% of the collective, a thread hand-off cost rather than
+a wire cost, so the method is fixed at construction instead of planned
+(DESIGN.md §6h).
+
 Send chunks are built into persistent, double-buffered contiguous
 staging buffers instead of per-call slice copies, so the steady-state
 transpose cycle performs zero workspace allocations.  Two parities
-suffice for the blocking methods because both are synchronizing: a rank
+suffice for the blocking alltoall because it is synchronizing: a rank
 cannot finish exchange ``N+1`` before every peer has deposited into it,
 which it only does after consuming (concatenating) exchange ``N`` — so
 by the time parity ``N % 2`` is refilled for exchange ``N+2``, no peer
 still reads it.  The pipelined method has no such global synchronization
 and instead runs the explicit ack credit protocol of
 :meth:`repro.mpi.simmpi.Request.wait_acks`.
-
-Set ``REPRO_TRANSPOSE_METHOD`` (``alltoall`` / ``pairwise_sendrecv`` /
-``pipelined``) to pin the method: :meth:`GlobalTranspose.plan` then
-skips measurement and deterministically applies the pin on every rank.
-Without a pin, :meth:`plan` consults the persistent
-:class:`~repro.tuning.WisdomStore` (rank 0 looks up, the decision is
-broadcast, so hit/miss patterns can never desynchronize the collective)
-and only measures on a true miss — the FFTW §4.3 "plan once per
-machine" contract.
 
 **Mixed-precision wire mode** (``wire="mixed"``): float64/complex128
 payloads are staged down to float32/complex64 before the exchange and
@@ -62,7 +54,6 @@ in-flight receivers keep the underlying arrays alive.
 from __future__ import annotations
 
 import enum
-import os
 import time
 from collections import OrderedDict
 
@@ -74,12 +65,8 @@ from repro.mpi.simmpi import Communicator
 
 class TransposeMethod(enum.Enum):
     ALLTOALL = "alltoall"
-    PAIRWISE = "pairwise_sendrecv"
     PIPELINED = "pipelined"
 
-
-#: env var pinning the transpose method (checked by :meth:`GlobalTranspose.plan`)
-ENV_METHOD = "REPRO_TRANSPOSE_METHOD"
 
 #: LRU cap on distinct (shape, dtype) keys per staging/slab buffer pool
 MAX_POOL_ENTRIES = 8
@@ -107,7 +94,7 @@ class GlobalTranspose:
         Optional explicit chunk sizes along ``split_axis`` (block sizes of
         the receivers); defaults to near-equal blocks.
     method:
-        Fixed method, or None to let :meth:`plan` measure and choose.
+        The exchange implementation; None means ``ALLTOALL``.
     stages:
         Slab count of the pipelined method (bounded by the stage-axis
         extent; more stages expose more overlap at smaller messages).
@@ -152,7 +139,6 @@ class GlobalTranspose:
         self.concat_axis = concat_axis
         self.split_sizes = split_sizes
         self.method = method or TransposeMethod.ALLTOALL
-        self.measured: dict[str, float] = {}
         self.timers = timers
         self.overlap = overlap
         self.counters = counters
@@ -263,111 +249,15 @@ class GlobalTranspose:
         return views
 
     # ------------------------------------------------------------------
-    # exchange implementations
-    # ------------------------------------------------------------------
-
-    def _exchange_alltoall(self, chunks: list[np.ndarray]) -> list[np.ndarray]:
-        return self.comm.alltoall(chunks)
-
-    def _exchange_pairwise(self, chunks: list[np.ndarray]) -> list[np.ndarray]:
-        """Pairwise sendrecv rounds (XOR schedule when P is a power of two,
-        shifted ring otherwise)."""
-        comm = self.comm
-        p = comm.size
-        received: list[np.ndarray | None] = [None] * p
-        received[comm.rank] = chunks[comm.rank]
-        for step in range(1, p):
-            if p & (p - 1) == 0:
-                peer = comm.rank ^ step
-            else:
-                peer = (comm.rank + step) % p
-            sendpeer = peer if p & (p - 1) == 0 else (comm.rank - step) % p
-            if p & (p - 1) == 0:
-                received[peer] = comm.sendrecv(chunks[peer], dest=peer, source=peer, tag=step)
-            else:
-                received[sendpeer] = comm.sendrecv(
-                    chunks[peer], dest=peer, source=sendpeer, tag=step
-                )
-        return received  # type: ignore[return-value]
-
-    # ------------------------------------------------------------------
 
     def execute(self, a: np.ndarray) -> np.ndarray:
         """Perform the transpose on this rank's block (output is a fresh array)."""
         if self.method is TransposeMethod.PIPELINED:
             return self.pipelined.execute(a)
-        chunks = self._chunks(a)
-        if self.method is TransposeMethod.ALLTOALL:
-            received = self._exchange_alltoall(chunks)
-        else:
-            received = self._exchange_pairwise(chunks)
+        received = self.comm.alltoall(self._chunks(a))
         # assembly up-casts back to the payload dtype when the wire ran
         # narrow (full-precision accumulation downstream of the exchange)
         return np.concatenate(received, axis=self.concat_axis, dtype=a.dtype)
-
-    def _wisdom_key(self, probe: np.ndarray) -> list:
-        return [
-            self.comm.size,
-            self.split_axis,
-            self.concat_axis,
-            self.split_sizes,
-            list(probe.shape),
-            str(probe.dtype),
-            self.wire,
-        ]
-
-    def plan(self, probe: np.ndarray, wisdom=None) -> TransposeMethod:
-        """Measure every method on a probe array and fix the fastest one.
-
-        Collective: every member must call ``plan`` together.  When
-        ``REPRO_TRANSPOSE_METHOD`` is set, measurement is skipped and the
-        pinned method applied deterministically on every rank (the env is
-        process-wide, so the choice is trivially collective).  Otherwise
-        the wisdom store is consulted first — rank 0 alone looks up and
-        the verdict is broadcast, so a store present on some ranks'
-        filesystem view but not others can never desynchronize the
-        collective — and only a true miss measures (recorded by rank 0).
-        ``wisdom=None`` defers to the ``REPRO_WISDOM`` selection.
-        """
-        pinned = os.environ.get(ENV_METHOD)
-        if pinned:
-            self.method = TransposeMethod(pinned)
-            self.measured = {}
-            return self.method
-        from repro.tuning import MEASURE_STATS, default_store
-
-        wisdom = wisdom if wisdom is not None else default_store()
-        key = self._wisdom_key(probe)
-        hit = None
-        if wisdom is not None:
-            if self.comm.rank == 0:
-                entry = wisdom.lookup("transpose", key)
-                value = entry.get("method") if entry else None
-            else:
-                value = None
-            value = self.comm.bcast(value, root=0)
-            if value in (m.value for m in TransposeMethod):
-                hit = TransposeMethod(value)
-        if hit is not None:
-            self.method = hit
-            self.measured = {}
-            return self.method
-        timings = {}
-        for method in TransposeMethod:
-            self.method = method
-            self.comm.barrier()
-            t0 = time.perf_counter()
-            self.execute(probe)
-            self.comm.barrier()
-            local = time.perf_counter() - t0
-            timings[method.value] = max(self.comm.allgather(local))
-            MEASURE_STATS.transpose_methods_timed += 1
-        self.measured = timings
-        best = min(timings, key=timings.get)
-        self.method = TransposeMethod(best)
-        if wisdom is not None and self.comm.rank == 0:
-            wisdom.record("transpose", key, {"method": best}, timings)
-        return self.method
 
 
 class PipelinedTranspose:
@@ -397,7 +287,7 @@ class PipelinedTranspose:
     ``post`` hook reshapes the data), so the steady state allocates
     nothing beyond the returned output.
 
-    Results are bit-for-bit identical to the synchronous methods: the
+    Results are bit-for-bit identical to the blocking alltoall: the
     same chunks travel, assembly is pure ``copyto``, and the hooks
     process exactly the slab the synchronous path would (1-D FFTs are
     independent per pencil, so slab-wise transforms reproduce the

@@ -305,12 +305,12 @@ HOT_PATH_CASES: tuple[BenchCase, ...] = (
     BenchCase(
         "grow_cascade_32",
         _case_grow_cascade,
-        guards="PR 9 elastic-expansion reshard restore (1x1 -> 2x2 -> 2x4, 32x33x32)",
+        guards="PR 8 elastic-expansion reshard restore (1x1 -> 2x2 -> 2x4, 32x33x32)",
     ),
     BenchCase(
         "stats_query_32",
         _case_stats_query,
-        guards="PR 10 warm-cache statistics serving (32 mixed queries, 4-Re_tau store)",
+        guards="PR 9 warm-cache statistics serving (32 mixed queries, 4-Re_tau store)",
     ),
 )
 

@@ -4,10 +4,9 @@ The paper's production runs amortize tuning across restarts — FFTW plans
 and transpose implementations are measured once per machine and reused
 ("the implementation with the best performance on simple tests is
 selected and used for production", §4.3), which is exactly FFTW's wisdom
-file contract.  Our MEASURE-mode planner (:mod:`repro.fft.plans`), the
-solve-engine panel selection (:func:`repro.linalg.engine.measure_block`)
-and :meth:`repro.pencil.transpose.GlobalTranspose.plan` historically
-re-timed every candidate on every process start.  :class:`WisdomStore`
+file contract.  Our MEASURE-mode planner (:mod:`repro.fft.plans`) and
+the solve-engine panel selection (:func:`repro.linalg.engine.measure_block`)
+historically re-timed every candidate on every process start.  :class:`WisdomStore`
 removes that cost: each MEASURE outcome is recorded into a versioned
 on-disk JSON cache keyed by the decision domain, the shape/dtype/backend
 key of the plan, and the *machine fingerprint* (hash of the same
@@ -89,10 +88,6 @@ class MeasureStats(Counters):
         Field(
             "fft_candidates_timed", 0,
             "timed candidate runs in repro.fft.plans.FFTPlan._plan",
-        ),
-        Field(
-            "transpose_methods_timed", 0,
-            "methods timed in repro.pencil.transpose.GlobalTranspose.plan",
         ),
         Field(
             "engine_blocks_timed", 0,
@@ -287,9 +282,9 @@ _STORE_CACHE: dict[str, WisdomStore | None] = {}
 def default_store() -> WisdomStore | None:
     """The ``REPRO_WISDOM``-selected store, or None when wisdom is off.
 
-    Cached per env value so every planner/transpose in the process shares
-    one store (and its counters); tests that repoint the env get a fresh
-    store for the new value.
+    Cached per env value so every planner and solve engine in the process
+    shares one store (and its counters); tests that repoint the env get a
+    fresh store for the new value.
     """
     env = os.environ.get(ENV_WISDOM, "").strip()
     if env in ("", "off", "0"):

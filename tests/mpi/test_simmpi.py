@@ -1,9 +1,18 @@
 """SimMPI collective/point-to-point/topology semantics tests."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.mpi.simmpi import Communicator, SimMPIError, run_spmd, waitall
+from repro.mpi.simmpi import (
+    Communicator,
+    MessageStats,
+    SimMPIError,
+    run_spmd,
+    waitall,
+)
 
 
 class TestCollectives:
@@ -339,6 +348,31 @@ class TestInstrumentation:
         msgs, byts = res[0]
         assert msgs == 4 * 3  # off-diagonal chunks only
         assert byts == 4 * 3 * 10 * 8
+
+    def test_concurrent_records_lose_no_updates(self):
+        """Rank threads share one MessageStats: every record must land
+        even when the interpreter switches threads mid-update."""
+        stats = MessageStats()
+        payload = [np.zeros(4), np.zeros(4)]
+        nthreads, nrecords = 4, 50_000
+
+        def worker():
+            for _ in range(nrecords):
+                stats.record(payload)
+
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(old_interval)
+        assert not any(t.is_alive() for t in threads)
+        assert stats.messages == nthreads * nrecords * 2
+        assert stats.bytes == nthreads * nrecords * 64
 
     def test_timeout_guard(self):
         def prog(comm):

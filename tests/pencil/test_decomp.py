@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pencil.decomp import PencilDecomp, block_range, block_size, block_slices
+from repro.pencil.decomp import (
+    PencilDecomp,
+    block_range,
+    block_size,
+    block_slices,
+    max_slab_ranks,
+)
 
 
 class TestBlockRange:
@@ -74,3 +80,24 @@ class TestPencilDecomp:
         d = PencilDecomp.for_rank(mx=2, mz=15, ny=12, nxq=24, nzq=24, pa=4, pb=1, rank=0)
         with pytest.raises(ValueError):
             d.validate()
+
+
+class TestSlabCeiling:
+    """The §2.2 objection to a slab decomposition, quantified."""
+
+    def test_rank_ceiling(self):
+        nx, nz = 16, 16
+        assert max_slab_ranks(nx, nz, dealias=True) == min(nx // 2, 3 * nz // 2)
+
+    def test_paper_production_grid_ceiling(self):
+        """10240 x 1536 x 7680: a slab code caps at 5,120 ranks — two
+        orders of magnitude below the paper's 524,288 cores."""
+        ceiling = max_slab_ranks(10240, 7680)
+        assert ceiling == 5120
+        assert 524288 / ceiling > 100
+
+    def test_pencil_has_no_such_ceiling(self):
+        """The pencil decomposition reaches P = mx * min(mz, ny) ranks."""
+        mx, mz, ny = 10240 // 2, 7680 - 1, 1536
+        pencil_ceiling = mx * min(mz, ny)
+        assert pencil_ceiling > 524288

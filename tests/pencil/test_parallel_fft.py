@@ -9,7 +9,7 @@ from repro.mpi.simmpi import FaultEvent, FaultPlan, ShrinkRequired, run_spmd
 from repro.pencil.decomp import choose_grid
 from repro.pencil.p3dfft import P3DFFTBaseline
 from repro.pencil.parallel_fft import PencilTransforms
-from repro.pencil.transpose import ENV_METHOD, TransposeMethod
+from repro.pencil.transpose import TransposeMethod
 
 NX, NY, NZ = 16, 12, 16
 
@@ -94,16 +94,6 @@ class TestCustomKernel:
             assert elapsed["transpose"] > 0.0
             assert elapsed["fft"] > 0.0
 
-    def test_planner_collective(self):
-        def prog(comm):
-            cart = comm.cart_create((2, 2))
-            tr = PencilTransforms(cart, NX, NY, NZ)
-            choices = tr.plan()
-            assert set(choices) == {"CommA", "CommB"}
-            return True
-
-        assert all(run_spmd(4, prog))
-
 
 def _pipelined_vs_sync(comm, pa, pb, seed=9):
     """Build both kernels on one cartesian grid and compare bitwise."""
@@ -159,25 +149,6 @@ class TestPipelinedKernel:
                 lambda comm: _pipelined_vs_sync(comm, pa, pb, seed=13),
             )
         )
-
-    def test_env_pin_plans_deterministically(self, monkeypatch):
-        monkeypatch.setenv(ENV_METHOD, "pipelined")
-
-        def prog(comm):
-            cart = comm.cart_create((2, 2))
-            tr = PencilTransforms(cart, NX, NY, NZ)
-            choices = tr.plan()
-            assert choices == {
-                "CommB": TransposeMethod.PIPELINED,
-                "CommA": TransposeMethod.PIPELINED,
-            }
-            for t in (tr.t_yz, tr.t_zy, tr.t_zx, tr.t_xz):
-                assert t.method is TransposeMethod.PIPELINED
-            # the pin decided: nothing was measured anywhere
-            assert tr.t_yz.measured == {} and tr.t_zx.measured == {}
-            return True
-
-        assert all(run_spmd(4, prog))
 
     def test_fft_cycle_identity_pipelined(self):
         grid = ChannelGrid(NX, NY, NZ)
@@ -239,14 +210,3 @@ class TestP3DFFTBaseline:
         res = run_spmd(4, prog)
         c_in, p_in = res[0]
         assert p_in > c_in
-
-    def test_no_planner(self):
-        def prog(comm):
-            cart = comm.cart_create((2, 2))
-            p3 = P3DFFTBaseline(cart, NX, NY, NZ)
-            with pytest.raises(NotImplementedError):
-                p3.plan()
-            comm.barrier()
-            return True
-
-        assert all(run_spmd(4, prog))

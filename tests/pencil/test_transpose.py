@@ -6,12 +6,7 @@ import pytest
 from repro.mpi.simmpi import run_spmd
 from repro.pencil.decomp import block_range
 from repro.pencil.reorder import chunked_reorder, reorder
-from repro.pencil.transpose import (
-    ENV_METHOD,
-    MAX_POOL_ENTRIES,
-    GlobalTranspose,
-    TransposeMethod,
-)
+from repro.pencil.transpose import MAX_POOL_ENTRIES, GlobalTranspose, TransposeMethod
 
 
 class TestReorder:
@@ -58,19 +53,6 @@ class TestGlobalTranspose:
     @pytest.mark.parametrize("nranks", [2, 3, 4])
     def test_roundtrip(self, method, nranks):
         assert all(run_spmd(nranks, roundtrip_program(method)))
-
-    def test_methods_agree(self):
-        def prog(comm):
-            rng = np.random.default_rng(7)
-            lo, hi = block_range(9, comm.size, comm.rank)
-            a = rng.standard_normal((6, hi - lo)).reshape(6, 1, hi - lo)
-            a = a + comm.rank  # distinct per rank
-            t1 = GlobalTranspose(comm, 0, 2, method=TransposeMethod.ALLTOALL)
-            t2 = GlobalTranspose(comm, 0, 2, method=TransposeMethod.PAIRWISE)
-            np.testing.assert_array_equal(t1.execute(a), t2.execute(a))
-            return True
-
-        assert all(run_spmd(3, prog))
 
     def test_explicit_split_sizes(self):
         def prog(comm):
@@ -195,32 +177,3 @@ class TestGlobalTranspose:
             return True
 
         assert all(run_spmd(2, prog))
-
-    def test_env_pin_skips_measurement(self, monkeypatch):
-        monkeypatch.setenv(ENV_METHOD, "pairwise_sendrecv")
-
-        def prog(comm):
-            lo, hi = block_range(8, comm.size, comm.rank)
-            t = GlobalTranspose(comm, 0, 2)
-            choice = t.plan(np.zeros((8, 2, hi - lo)))
-            assert choice is TransposeMethod.PAIRWISE
-            assert t.measured == {}  # nothing was measured: the pin decided
-            return True
-
-        assert all(run_spmd(4, prog))
-
-    def test_planner_picks_and_pins(self):
-        def prog(comm):
-            lo, hi = block_range(8, comm.size, comm.rank)
-            t = GlobalTranspose(comm, 0, 2)
-            probe = np.zeros((8, 2, hi - lo))
-            choice = t.plan(probe)
-            assert choice in list(TransposeMethod)
-            assert t.method is choice
-            assert len(t.measured) == 3
-            # choices must agree across ranks (collective measurement)
-            choices = comm.allgather(choice)
-            assert len(set(choices)) == 1
-            return True
-
-        assert all(run_spmd(4, prog))

@@ -5,16 +5,14 @@ import pytest
 
 from repro.chaos import (
     JOB_HEALTHY,
-    ChannelConfig,
     random_fault_plan,
-    resolve_transpose_method,
     run_chaos_soak,
     run_scheduler_soak,
     scheduler_soak_summary,
     soak_summary,
 )
-from repro.pencil.transpose import ENV_METHOD, TransposeMethod
-from repro.tuning import MEASURE_STATS, WisdomStore
+from repro.pencil.transpose import TransposeMethod
+from repro.tuning import MEASURE_STATS
 
 HEALTHY = {"completed", "recovered", "degraded"}
 
@@ -78,27 +76,27 @@ class TestShortSoak:
         assert summary["events_fired"] > 0
 
 
-class TestMethodResolution:
-    """The soak's transpose pin comes from the env or the wisdom cache —
-    the sweep itself never re-times methods per attempt."""
+class TestDefaultMethod:
+    """``method=None`` is the alltoall exchange production runs use: the
+    soak times nothing and its ``alltoall`` faults reach the exchange."""
 
-    def test_env_pin_wins_without_timing(self, monkeypatch):
-        monkeypatch.setenv(ENV_METHOD, "pipelined")
+    def test_default_soak_runs_no_measurement(self, tmp_path):
         MEASURE_STATS.reset()
-        m = resolve_transpose_method(None, 4, 2, 2)
-        assert m is TransposeMethod.PIPELINED
-        assert MEASURE_STATS.transpose_methods_timed == 0
+        results = run_chaos_soak(range(1), tmp_path)
+        assert MEASURE_STATS.total() == 0
+        assert all(r.ok for r in results)
 
-    def test_wisdom_warm_resolution_skips_timing(self, tmp_path):
-        cfg = ChannelConfig(nx=16, ny=24, nz=16, dt=2e-4, init_amplitude=0.5, seed=8)
-        store = WisdomStore(tmp_path / "wisdom.json")
-        MEASURE_STATS.reset()
-        cold = resolve_transpose_method(cfg, 4, 2, 2, wisdom=store)
-        assert MEASURE_STATS.transpose_methods_timed > 0
-        MEASURE_STATS.reset()
-        warm = resolve_transpose_method(cfg, 4, 2, 2, wisdom=store)
-        assert MEASURE_STATS.transpose_methods_timed == 0
-        assert warm is cold
+    def test_alltoall_fault_fires(self, tmp_path):
+        def only_event(seed):
+            (event,) = random_fault_plan(seed, 4, max_events=1).events
+            return event.op, event.action
+
+        payload_faults = {("alltoall", "drop"), ("alltoall", "corrupt")}
+        seed = next(s for s in range(100) if only_event(s) in payload_faults)
+        (result,) = run_chaos_soak([seed], tmp_path, max_events=1)
+        assert result.events_planned == 1
+        assert result.events_fired > 0, result
+        assert result.ok, (result.classification, result.detail)
 
 
 class TestSchedulerShortSoak:
